@@ -1641,14 +1641,23 @@ let run_warm_bench ~smoke =
        guarantee for the same instance, so their objectives agree within
        the two-sided band *)
     let band = 1.0 -. (2.0 *. epsilon) -. Check.default_tol in
+    (* augmentations over every rung of the event (and its cold
+       fallback, if any): deterministic, unlike the timings *)
+    let iterations () =
+      match Obs.Registry.find_counter "maxflow.iterations" with
+      | Some c -> Obs.Counter.value c
+      | None -> 0
+    in
     List.iter
       (fun ev ->
+        let i0 = iterations () in
         let r = Engine.apply t ev in
+        let event_iterations = iterations () - i0 in
         let warm_s = r.Engine.total_s in
         (* from-scratch reference on the same post-event instance:
            rebuild every overlay, solve cold, certify — what a caller
            without the engine would run after the event *)
-        let (cold_obj, cold_cert), cold_s =
+        let (cold_obj, cold_cert, cold_iterations), cold_s =
           elapsed (fun () ->
               let overlays =
                 Array.map
@@ -1657,7 +1666,9 @@ let run_warm_bench ~smoke =
               in
               let cr = Max_flow.solve g overlays ~epsilon in
               let v = Check.certify_max_flow g overlays cr in
-              (Solution.overall_throughput cr.Max_flow.solution, Check.ok v))
+              ( Solution.overall_throughput cr.Max_flow.solution,
+                Check.ok v,
+                cr.Max_flow.iterations ))
         in
         let speedup = cold_s /. Float.max warm_s 1e-9 in
         let obj_ratio =
@@ -1669,17 +1680,19 @@ let run_warm_bench ~smoke =
         speedups := speedup :: !speedups;
         Printf.printf
           "  %-44s %s/%d  warm %8.2fms  cold %8.2fms  speedup %6.1fx  \
-           obj %.4g vs %.4g\n%!"
+           iterations %d vs %d  obj %.4g vs %.4g\n%!"
           (Churn.event_to_string ev.Churn.event)
           (if r.Engine.warm then "warm" else "cold")
           r.Engine.attempts (warm_s *. 1e3) (cold_s *. 1e3) speedup
-          r.Engine.objective cold_obj;
+          event_iterations cold_iterations r.Engine.objective cold_obj;
         rows :=
           Json_export.Object_
             [
               ("event", Json_export.String (Churn.event_to_string ev.Churn.event));
               ("warm", Json_export.Bool r.Engine.warm);
               ("attempts", Json_export.Number (float_of_int r.Engine.attempts));
+              ("iterations", Json_export.Number (float_of_int event_iterations));
+              ("cold_iterations", Json_export.Number (float_of_int cold_iterations));
               ("certified", Json_export.Bool r.Engine.certified);
               ("warm_s", Json_export.Number warm_s);
               ("cold_s", Json_export.Number cold_s);
@@ -1739,8 +1752,10 @@ let run_warm_bench ~smoke =
               "warm-started re-solve engine vs from-scratch on single-session \
                churn events; warm_s is the full event wall-clock (instance \
                mutation + warm ladder + certification), cold_s rebuilds all \
-               overlays, solves cold and certifies; every warm acceptance is \
-               Check.certify-gated" );
+               overlays, solves cold and certifies; iterations counts the \
+               event's MaxFlow augmentations over every rung (and a cold \
+               fallback), cold_iterations those of the from-scratch solve; \
+               every warm acceptance is Check.certify-gated" );
           host_json;
           ("workloads", Json_export.Array_ [ a_json; ts_json ]);
           ( "median_speedup",

@@ -560,6 +560,23 @@ let render_diff r =
    by test_engine_trace. *)
 let engine_event_kinds = [| "join"; "leave"; "demand"; "capacity"; "initial" |]
 
+(* Certificate-violation codes, as carried in [Certify_fail.a]: a mirror
+   of [Check.violation_names], which this library cannot see either;
+   pinned by test_engine_trace. *)
+let certify_violation_names =
+  [|
+    "negative_rate";
+    "wrong_session";
+    "not_spanning";
+    "route_endpoints";
+    "broken_route";
+    "usage_mismatch";
+    "overload";
+    "weak_duality";
+    "duality_gap";
+    "scaling_violation";
+  |]
+
 type engine_window = {
   w_start : float;
   w_end : float;
@@ -571,6 +588,7 @@ type engine_window = {
   w_escalations : int;
   w_cold_fallbacks : int;
   w_certify_fails : int;
+  w_certify_codes : int array;
   w_p50 : float;
   w_p90 : float;
   w_p99 : float;
@@ -599,6 +617,7 @@ type engine_acc = {
   mutable c_escalations : int;
   mutable c_cold_fallbacks : int;
   mutable c_certify_fails : int;
+  c_codes : int array;
   c_hist : Obs.Histogram.t;
 }
 
@@ -612,6 +631,7 @@ let acc_create tag =
     c_escalations = 0;
     c_cold_fallbacks = 0;
     c_certify_fails = 0;
+    c_codes = Array.make (Array.length certify_violation_names + 1) 0;
     c_hist = Obs.Histogram.create tag;
   }
 
@@ -627,6 +647,7 @@ let acc_finish ~w_start ~w_end a =
     w_escalations = a.c_escalations;
     w_cold_fallbacks = a.c_cold_fallbacks;
     w_certify_fails = a.c_certify_fails;
+    w_certify_codes = Array.copy a.c_codes;
     w_p50 = Obs.Histogram.quantile a.c_hist 0.50;
     w_p90 = Obs.Histogram.quantile a.c_hist 0.90;
     w_p99 = Obs.Histogram.quantile a.c_hist 0.99;
@@ -723,9 +744,13 @@ let engine_report ?window events =
                 x.c_cold_fallbacks <- x.c_cold_fallbacks + 1)
               [ a; total ]
           | Obs.Certify_fail ->
+            let code = int_of_float e.Obs.Event.a in
+            let unknown = Array.length certify_violation_names in
+            let code = if code >= 0 && code < unknown then code else unknown in
             List.iter
               (fun (x : engine_acc) ->
-                x.c_certify_fails <- x.c_certify_fails + 1)
+                x.c_certify_fails <- x.c_certify_fails + 1;
+                x.c_codes.(code) <- x.c_codes.(code) + 1)
               [ a; total ]
           | _ -> ()
         end)
@@ -801,6 +826,21 @@ let render_engine r =
        fallbacks: %d  certify failures: %d\n"
       tw.w_warm tw.w_cold tw.w_rungs tw.w_escalations tw.w_cold_fallbacks
       tw.w_certify_fails;
+    if tw.w_certify_fails > 0 then begin
+      let parts = ref [] in
+      Array.iteri
+        (fun i n ->
+          if n > 0 then
+            let name =
+              if i < Array.length certify_violation_names then
+                certify_violation_names.(i)
+              else "unknown"
+            in
+            parts := Printf.sprintf "%s=%d" name n :: !parts)
+        tw.w_certify_codes;
+      add "certify failures by first violation: %s\n"
+        (String.concat "  " (List.rev !parts))
+    end;
     add
       "re-solve latency: p50=%.3fms  p90=%.3fms  p99=%.3fms  max=%.3fms  \
        (quantiles within 2.2%% relative error)\n"

@@ -181,6 +181,15 @@ val render_diff : diff_report -> string
     round-trip test pins the two against each other. *)
 val engine_event_kinds : string array
 
+(** Names of the certificate-violation codes carried in
+    [certify_fail.a] (the first violation of the rejected verdict):
+    [ [| "negative_rate"; "wrong_session"; "not_spanning";
+    "route_endpoints"; "broken_route"; "usage_mismatch"; "overload";
+    "weak_duality"; "duality_gap"; "scaling_violation" |] ].  Mirrors
+    [Check.violation_names] (not visible from this library); the
+    engine-trace test pins the two against each other. *)
+val certify_violation_names : string array
+
 type engine_window = {
   w_start : float;  (** window start, seconds from the first engine event *)
   w_end : float;
@@ -192,6 +201,9 @@ type engine_window = {
   w_escalations : int;  (** rung attempts past the first rung *)
   w_cold_fallbacks : int;
   w_certify_fails : int;
+  w_certify_codes : int array;
+      (** certify failures per {!certify_violation_names} code, plus a
+          last slot for codes outside the table *)
   w_p50 : float;  (** re-solve latency quantiles, seconds *)
   w_p90 : float;
   w_p99 : float;

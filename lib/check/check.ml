@@ -31,21 +31,38 @@ type verdict = {
   max_congestion : float;
   primal : float option;
   dual_bound : float option;
+  loads : float array;
 }
 
 let ok v = v.violations = []
 
-let violation_name = function
-  | Negative_rate _ -> "negative_rate"
-  | Wrong_session _ -> "wrong_session"
-  | Not_spanning _ -> "not_spanning"
-  | Route_endpoints _ -> "route_endpoints"
-  | Broken_route _ -> "broken_route"
-  | Usage_mismatch _ -> "usage_mismatch"
-  | Overload _ -> "overload"
-  | Weak_duality _ -> "weak_duality"
-  | Duality_gap _ -> "duality_gap"
-  | Scaling_violation _ -> "scaling_violation"
+let violation_names =
+  [|
+    "negative_rate";
+    "wrong_session";
+    "not_spanning";
+    "route_endpoints";
+    "broken_route";
+    "usage_mismatch";
+    "overload";
+    "weak_duality";
+    "duality_gap";
+    "scaling_violation";
+  |]
+
+let violation_code = function
+  | Negative_rate _ -> 0
+  | Wrong_session _ -> 1
+  | Not_spanning _ -> 2
+  | Route_endpoints _ -> 3
+  | Broken_route _ -> 4
+  | Usage_mismatch _ -> 5
+  | Overload _ -> 6
+  | Weak_duality _ -> 7
+  | Duality_gap _ -> 8
+  | Scaling_violation _ -> 9
+
+let violation_name v = violation_names.(violation_code v)
 
 let pp_violation fmt = function
   | Negative_rate { slot; rate } ->
@@ -233,6 +250,7 @@ let certify ?(tol = default_tol) g solution =
     max_congestion = !worst;
     primal = None;
     dual_bound = None;
+    loads;
   }
 
 (* --- duality certificates ----------------------------------------------- *)

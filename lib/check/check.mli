@@ -83,6 +83,9 @@ type verdict = {
       (** max load/capacity, recomputed from routes (0 when empty) *)
   primal : float option;        (** objective, when duality was checked *)
   dual_bound : float option;    (** independent optimum upper bound *)
+  loads : float array;
+      (** physical link load per edge id, recomputed from the routes
+          (the array the overload check reads; fresh per verdict) *)
 }
 
 (** [ok v] is [v.violations = []]. *)
@@ -94,6 +97,15 @@ val pp_verdict : Format.formatter -> verdict -> unit
 (** [violation_name v] is a stable short tag ("negative_rate",
     "not_spanning", ...) for reports and tests. *)
 val violation_name : violation -> string
+
+(** [violation_code v] is [v]'s stable numeric code: its index in
+    {!violation_names}.  Traces carry the code ([Certify_fail]) where a
+    string does not fit. *)
+val violation_code : violation -> int
+
+(** The tag table, indexed by {!violation_code}: [violation_name v =
+    violation_names.(violation_code v)].  Codes are append-only. *)
+val violation_names : string array
 
 (** [certify graph solution] re-derives the structural certificate:
     spanning trees, route integrity, multiplicity recount, and

@@ -61,7 +61,9 @@ val ratio_to_epsilon : float -> float
 type warm_start = {
   prev_lens : float array;
       (** previous [result.dual_lengths]; length must equal the edge
-          count, entries finite positive (read-only, copied on entry) *)
+          count, entries positive, finite on every capacitated edge
+          (read-only, copied on entry).  Zero-capacity edges run at an
+          infinite length whatever their entry says *)
   prev_ln_base : float;
       (** previous [result.dual_ln_base] — carried for provenance; the
           solver renormalizes, so only the shape of [prev_lens]
@@ -74,7 +76,9 @@ type warm_start = {
 }
 
 (** [solve graph overlays ~epsilon] runs MaxFlow over sessions sharing
-    one physical graph.  All overlays must be built on [graph].
+    one physical graph.  All overlays must be built on [graph].  A
+    zero-capacity edge is priced at an infinite dual length, so no
+    tree crosses it; a session that cannot avoid one gets rate 0.
     [incremental] (default [true]) drives the overlays' incremental
     length engine — dual-length updates are pushed through the
     edge->route incidence index so each iteration only re-weighs the

@@ -57,6 +57,8 @@ type t = {
   mutable ln_base : float;
   mutable have_duals : bool;
   mutable last : run option;
+  mutable loads : float array option;
+      (* per-edge link loads of [last], kept from its certificate *)
   mutable resolves : int;
   mutable warm_accepted : int;
   mutable cold_solves : int;
@@ -160,14 +162,15 @@ let repair_capacity t ~edge ~c_old ~c_new =
   let lens = t.duals in
   match t.config.solver with
   | Maxflow ->
-    if c_old > 0.0 && c_new > 0.0 then
-      lens.(edge) <- lens.(edge) *. (c_old /. c_new)
-    else if c_new > 0.0 then begin
+    (* c_new = 0: the edge can never carry flow; the solver prices it
+       at an infinite length *)
+    if c_new <= 0.0 then lens.(edge) <- infinity
+    else if c_old > 0.0 then lens.(edge) <- lens.(edge) *. (c_old /. c_new)
+    else begin
       let mn = ref infinity in
       Array.iter (fun v -> if v < !mn then mn := v) lens;
       lens.(edge) <- (if Float.is_finite !mn then !mn else 1.0)
     end
-    (* c_new = 0: the edge can never carry flow; its dual is inert *)
   | Mcf _ ->
     if c_new <= 0.0 then lens.(edge) <- infinity
     else if c_old > 0.0 && Float.is_finite lens.(edge) then
@@ -185,16 +188,21 @@ let repair_capacity t ~edge ~c_old ~c_new =
 
 (* --- solving ---------------------------------------------------------- *)
 
-(* Bound the dynamic range of an inherited dual shape to [clamp] nats
-   (floor at [exp (-clamp) * max]).  After an event that opens new
-   territory — a join whose members reach edges the previous instance
-   never priced — those edges sit tens of nats below the active
-   structure, and a warm run would spend its whole budget inflating
-   them before the surviving sessions see a single iteration.  The
-   floor compresses dead territory to "cheap" while preserving the
-   top-of-range bottleneck ordering that warm starts exist to reuse.
-   Infinite entries (zero-capacity edges under MCF) are left alone. *)
-let clamp_range ~clamp lens =
+(* Bound the dynamic range of an inherited dual shape, load-aware.
+   After an event that opens new territory — a join whose members
+   reach edges the previous instance never priced — those edges sit
+   tens of nats below the active structure, and a warm run would spend
+   its whole budget inflating them before the surviving sessions see a
+   single iteration.  Edges the last accepted solution loads are
+   floored at [exp (-clamp) * max]: that keeps the top-of-range
+   bottleneck ordering warm starts exist to reuse.  Edges it leaves
+   unloaded are floored higher, at [exp (-clamp/2) * max]: at the
+   lower floor a joining session's tree lay [clamp] nats below the
+   residents', the solver aims [ln_base] at the lightest tree, and the
+   residents got no room until the last rung.  Without [loads] (no
+   accepted solution) every edge gets the [clamp] floor.  Infinite
+   entries (zero-capacity edges) are left alone. *)
+let floor_range ~clamp ~loads lens =
   if not (Float.is_finite clamp && clamp > 0.0) then lens
   else begin
     let mx = ref 0.0 in
@@ -202,7 +210,15 @@ let clamp_range ~clamp lens =
     if !mx <= 0.0 then lens
     else begin
       let lo = exp (-.clamp) *. !mx in
-      Array.map (fun v -> if v < lo then lo else v) lens
+      match loads with
+      | None -> Array.map (fun v -> if v < lo then lo else v) lens
+      | Some loads ->
+        let lo_open = exp (-.clamp /. 2.0) *. !mx in
+        Array.mapi
+          (fun e v ->
+            let lo = if loads.(e) > 0.0 then lo else lo_open in
+            if v < lo then lo else v)
+          lens
     end
   end
 
@@ -260,7 +276,7 @@ let duals_of = function
   | Run_maxflow r -> r.Max_flow.dual_lengths
   | Run_mcf r -> r.Max_concurrent_flow.dual_lengths
 
-let accept t run =
+let accept t run (verdict : Check.verdict) =
   (match run with
   | Run_maxflow r ->
     t.duals <- Array.copy r.Max_flow.dual_lengths;
@@ -270,7 +286,19 @@ let accept t run =
     t.ln_base <- r.Max_concurrent_flow.dual_ln_base;
     t.zetas <- Array.copy r.Max_concurrent_flow.zetas);
   t.have_duals <- true;
-  t.last <- Some run
+  t.last <- Some run;
+  t.loads <- Some verdict.Check.loads
+
+(* [a] carries the first violation's stable code (its index in
+   [Check.violation_names]); the rung's room is on its [Rung_attempt] *)
+let emit_certify_fail obs ~rung (verdict : Check.verdict) =
+  let code =
+    match verdict.Check.violations with
+    | v :: _ -> Check.violation_code v
+    | [] -> -1
+  in
+  Obs.Sink.emit obs Obs.Certify_fail ~session:rung ~a:(float_of_int code)
+    ~b:(float_of_int (List.length verdict.Check.violations))
 
 let resolve t =
   t.resolves <- t.resolves + 1;
@@ -296,6 +324,7 @@ let resolve t =
     (* no active sessions: nothing to solve; the duals are kept — they
        still describe the network and warm-start the next join *)
     t.last <- None;
+    t.loads <- None;
     finish ~warm:false ~attempts:0 ~certified:true ~objective:0.0 ~solve_s:0.0
       ~certify_s:0.0
   end
@@ -311,7 +340,9 @@ let resolve t =
          in a stale direction would otherwise dilute the measured
          objective forever). *)
       let rooms = t.config.rooms in
-      let warm_lens = ref (clamp_range ~clamp:t.config.clamp t.duals) in
+      let warm_lens =
+        ref (floor_range ~clamp:t.config.clamp ~loads:t.loads t.duals)
+      in
       let i = ref 0 in
       while !accepted = None && !i < Array.length rooms do
         incr attempts;
@@ -325,18 +356,17 @@ let resolve t =
         let ok = Check.ok verdict in
         Obs.Sink.emit obs Obs.Rung_attempt ~session:!i ~a:rooms.(!i)
           ~b:(if ok then 1.0 else 0.0);
-        if ok then accepted := Some run
+        if ok then accepted := Some (run, verdict)
         else begin
-          Obs.Sink.emit obs Obs.Certify_fail ~session:!i ~a:rooms.(!i)
-            ~b:(float_of_int (List.length verdict.Check.violations));
+          emit_certify_fail obs ~rung:!i verdict;
           warm_lens := duals_of run
         end;
         incr i
       done
     end;
     match !accepted with
-    | Some run ->
-      accept t run;
+    | Some (run, verdict) ->
+      accept t run verdict;
       t.warm_accepted <- t.warm_accepted + 1;
       Obs.Counter.incr c_warm;
       Obs.Histogram.record h_rung_depth (float_of_int !attempts);
@@ -355,13 +385,11 @@ let resolve t =
       let t2 = Obs.now () in
       solve_s := !solve_s +. (t1 -. t0);
       certify_s := !certify_s +. (t2 -. t1);
-      accept t run;
+      accept t run verdict;
       t.cold_solves <- t.cold_solves + 1;
       Obs.Counter.incr c_cold;
       let certified = Check.ok verdict in
-      if not certified then
-        Obs.Sink.emit obs Obs.Certify_fail ~session:(-1) ~a:0.0
-          ~b:(float_of_int (List.length verdict.Check.violations));
+      if not certified then emit_certify_fail obs ~rung:(-1) verdict;
       Obs.Histogram.record h_rung_depth (float_of_int (!attempts + 1));
       Obs.Histogram.record h_certify !certify_s;
       finish ~warm:false ~attempts:!attempts ~certified
@@ -387,6 +415,7 @@ let create ?(config = default_config) graph sessions =
       ln_base = 0.0;
       have_duals = false;
       last = None;
+      loads = None;
       resolves = 0;
       warm_accepted = 0;
       cold_solves = 0;

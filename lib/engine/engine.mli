@@ -51,12 +51,14 @@ type config = {
           rung's primal restarts clean *)
   clamp : float;
       (** dynamic-range bound, in nats, applied to the inherited dual
-          shape at the first rung: entries below [exp (-clamp) * max]
-          are floored there.  Compresses territory the previous
-          instance never priced (tens of nats below the active
-          structure after a join opens new edges) while preserving the
-          bottleneck ordering near the top of the range; non-positive
-          or non-finite disables the floor *)
+          shape at the first rung.  Edges the last accepted solution
+          loads are floored at [exp (-clamp) * max], edges it leaves
+          unloaded at [exp (-clamp/2) * max] (every edge at the former
+          when there is no accepted solution).  Compresses territory
+          the previous instance never priced (tens of nats below the
+          active structure after a join opens new edges) while
+          preserving the bottleneck ordering near the top of the
+          range; non-positive or non-finite disables the floor *)
   certify_tol : float;
   obs : Obs.Sink.t;
       (** receives the engine's churn-level telemetry in addition to

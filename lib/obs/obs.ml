@@ -169,16 +169,25 @@ module Histogram = struct
      values outside clamp to the edge buckets, non-positive and NaN
      values land in a dedicated zero bucket.
 
-     Recording is domain-safe and allocation-free: one atomic
-     fetch-and-add on the bucket, one on the fixed-point sum — no CAS
-     loops, no boxing.  The sum is kept in units of 2^-30 (~1e-9), so
-     it is exact to about a nanosecond per sample and holds totals up
-     to ~4.3e9; min/max are derived from the extreme non-empty buckets
-     at read time rather than maintained in the hot path. *)
+     Recording is domain-safe: one atomic fetch-and-add on the bucket,
+     one on the fixed-point sum — no boxing.  The sum is kept in units
+     of 2^-30 (~1e-9), so it is exact to about a nanosecond per sample
+     and holds totals up to ~4.3e9; min/max are derived from the
+     extreme non-empty buckets at read time rather than maintained in
+     the hot path.
+
+     The buckets live in 32 chunks of 64, each installed (by CAS) when
+     its first sample arrives, so a histogram costs memory only for
+     the octaves it has seen: a latency histogram touches 4-6 chunks,
+     ~1k words, where 2048 boxed counters took ~6k.  Recording
+     allocates only on a chunk's first sample. *)
 
   let octave = 16                 (* buckets per factor of 2 *)
   let bias = 1024                 (* bucket of values in [1, gamma) *)
   let n_buckets = 2048
+  let chunk_bits = 6
+  let chunk_size = 1 lsl chunk_bits
+  let n_chunks = n_buckets / chunk_size
   let sum_scale = 1073741824.0    (* 2^30 fixed-point units per 1.0 *)
 
   type t = {
@@ -186,8 +195,12 @@ module Histogram = struct
     mutable doc : string;
     zeros : int Atomic.t;         (* samples <= 0 (and NaN) *)
     sum_fp : int Atomic.t;        (* sum of samples, 2^-30 fixed point *)
-    buckets : int Atomic.t array;
+    chunks : int Atomic.t array Atomic.t array;
+        (* bucket [i] is [chunks.(i / 64)].(i mod 64); [absent] until
+           the chunk's first sample *)
   }
+
+  let absent : int Atomic.t array = [||]
 
   type bucket = { b_lo : float; b_hi : float; b_count : int }
 
@@ -206,7 +219,7 @@ module Histogram = struct
       doc;
       zeros = Atomic.make 0;
       sum_fp = Atomic.make 0;
-      buckets = Array.init n_buckets (fun _ -> Atomic.make 0);
+      chunks = Array.init n_chunks (fun _ -> Atomic.make absent);
     }
 
   let table : (string, t) Hashtbl.t = Hashtbl.create 16
@@ -243,17 +256,45 @@ module Histogram = struct
      index) are bit-identical to live queries. *)
   let representative i = Float.sqrt (lower_bound i *. upper_bound i)
 
+  (* the counter of bucket [i], installing its chunk if need be; a
+     racing installer's chunk wins and ours is dropped unused *)
+  let counter h i =
+    let slot = h.chunks.(i lsr chunk_bits) in
+    let c = Atomic.get slot in
+    let c =
+      if c != absent then c
+      else begin
+        let fresh = Array.init chunk_size (fun _ -> Atomic.make 0) in
+        if Atomic.compare_and_set slot absent fresh then fresh
+        else Atomic.get slot
+      end
+    in
+    c.(i land (chunk_size - 1))
+
+  let counts h =
+    let a = Array.make n_buckets 0 in
+    Array.iteri
+      (fun k slot ->
+        Array.iteri
+          (fun j b -> a.((k lsl chunk_bits) + j) <- Atomic.get b)
+          (Atomic.get slot))
+      h.chunks;
+    a
+
   let record h v =
     if Float.is_nan v || v <= 0.0 then Atomic.incr h.zeros
     else begin
-      Atomic.incr h.buckets.(bucket_index v);
+      Atomic.incr (counter h (bucket_index v));
       let fp = int_of_float ((v *. sum_scale) +. 0.5) in
       ignore (Atomic.fetch_and_add h.sum_fp fp)
     end
 
   let count h =
     let n = ref (Atomic.get h.zeros) in
-    Array.iter (fun b -> n := !n + Atomic.get b) h.buckets;
+    Array.iter
+      (fun slot ->
+        Array.iter (fun b -> n := !n + Atomic.get b) (Atomic.get slot))
+      h.chunks;
     !n
 
   let sum h = float_of_int (Atomic.get h.sum_fp) /. sum_scale
@@ -262,7 +303,7 @@ module Histogram = struct
     if Float.is_nan p || p < 0.0 || p > 1.0 then
       invalid_arg "Obs.Histogram.quantile: p must be in [0, 1]";
     let zeros = Atomic.get h.zeros in
-    let counts = Array.map Atomic.get h.buckets in
+    let counts = counts h in
     let total = Array.fold_left ( + ) zeros counts in
     if total = 0 then 0.0
     else begin
@@ -296,15 +337,23 @@ module Histogram = struct
       if z > 0 then ignore (Atomic.fetch_and_add into.zeros z);
       let s = Atomic.get src.sum_fp in
       if s <> 0 then ignore (Atomic.fetch_and_add into.sum_fp s);
-      for i = 0 to n_buckets - 1 do
-        let c = Atomic.get src.buckets.(i) in
-        if c > 0 then ignore (Atomic.fetch_and_add into.buckets.(i) c)
-      done
+      Array.iteri
+        (fun k slot ->
+          Array.iteri
+            (fun j b ->
+              let c = Atomic.get b in
+              if c > 0 then
+                ignore
+                  (Atomic.fetch_and_add
+                     (counter into ((k lsl chunk_bits) + j))
+                     c))
+            (Atomic.get slot))
+        src.chunks
     end
 
   let snapshot h =
     let zeros = Atomic.get h.zeros in
-    let counts = Array.map Atomic.get h.buckets in
+    let counts = counts h in
     let total = Array.fold_left ( + ) zeros counts in
     let buckets = ref [] in
     let lo_i = ref (-1) and hi_i = ref (-1) in
@@ -338,7 +387,9 @@ module Histogram = struct
   let reset h =
     Atomic.set h.zeros 0;
     Atomic.set h.sum_fp 0;
-    Array.iter (fun b -> Atomic.set b 0) h.buckets
+    Array.iter
+      (fun slot -> Array.iter (fun b -> Atomic.set b 0) (Atomic.get slot))
+      h.chunks
 end
 
 module Registry = struct
@@ -360,7 +411,7 @@ module Registry = struct
 
   let histograms () =
     (* take the name list under the lock, snapshot outside it: a
-       snapshot scans 2048 atomics and must not hold the registry
+       snapshot scans up to 2048 atomics and must not hold the registry
        mutex against recorders racing on [make] *)
     let hs =
       Mutex.protect registry_lock (fun () ->

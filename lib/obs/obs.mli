@@ -157,11 +157,13 @@ module Histogram : sig
       into per-window histograms and {!merge}-ing them is equivalent to
       recording everything into one.
 
-      {b Domain safety and cost.}  {!record} is allocation-free and
-      safe from any number of domains: one atomic fetch-and-add on the
-      bucket counter plus one on the fixed-point sum (units of [2^-30],
-      so sums are exact to ~1e-9 per sample and hold totals up to
-      ~4.3e9).  Reads ({!quantile}, {!snapshot}) scan the bucket array
+      {b Domain safety and cost.}  {!record} is safe from any number
+      of domains: one atomic fetch-and-add on the bucket counter plus
+      one on the fixed-point sum (units of [2^-30], so sums are exact
+      to ~1e-9 per sample and hold totals up to ~4.3e9).  Bucket
+      counters are allocated 64 at a time, when the first sample lands
+      in their range, so {!record} allocates only then and a histogram
+      holds memory only for the octaves it has seen.  Reads ({!quantile}, {!snapshot}) scan the bucket array
       and may run concurrently with recorders; they observe some
       consistent prefix of the updates. *)
 
@@ -345,7 +347,9 @@ end
       rungs burned before falling back (0.0 for an initial solve with
       no duals to inherit).
     - [Certify_fail]: a certificate was rejected.  [session] = rung
-      index ([-1] for the cold path), [a] = the rung's room in nats,
+      index ([-1] for the cold path), [a] = stable code of the first
+      violation (its index in [Check.violation_names]: 8 is
+      [duality_gap]; the rung's room is on its [Rung_attempt]),
       [b] = number of violations. *)
 type kind =
   | Run_start

@@ -12,11 +12,14 @@ let gen_at =
   oneof
     [ return 0.0; float_range 0.0 1e4; float_range 1e9 1e12 ]
 
-(* strictly positive demands/capacities across many magnitudes *)
+(* strictly positive demands and capacities across many magnitudes *)
 let gen_pos =
   oneof
     [ float_range 1e-6 1.0; float_range 1.0 1e4; float_range 1e6 1e9;
       return 1.0 ]
+
+(* capacities: positive, or 0 for a link taken down *)
+let gen_capacity = oneof [ gen_pos; return 0.0 ]
 
 let gen_nonneg = oneof [ return 0.0; float_range 0.0 1e6 ]
 
@@ -69,7 +72,7 @@ let gen_frame : Wire.frame Prop.Gen.t =
           { at = gen_at rng; id = gen_u32 rng; demand = gen_pos rng });
       (fun rng ->
         Wire.Capacity_change
-          { at = gen_at rng; edge = gen_u32 rng; capacity = gen_pos rng });
+          { at = gen_at rng; edge = gen_u32 rng; capacity = gen_capacity rng });
       (fun rng ->
         Wire.Solve_report
           {

@@ -250,7 +250,7 @@ let f64 c ~what ~lo =
   c.at <- c.at + 8;
   v
 
-(* > 0 floats (demand, capacity): encode the bound as a tiny positive lo *)
+(* > 0 floats (demands) *)
 let f64_pos c ~what =
   need c 8 what;
   let v = Int64.float_of_bits (Bytes.get_int64_be c.buf c.at) in
@@ -352,7 +352,8 @@ let decode_body limits buf ~pos ~body_start ~body_len =
   else if tag = tag_capacity_change then begin
     let at = f64 c ~what:"capacity_change at" ~lo:0.0 in
     let edge = u32 c "capacity_change edge" in
-    let capacity = f64_pos c ~what:"capacity_change capacity" in
+    (* 0 is a link taken down *)
+    let capacity = f64 c ~what:"capacity_change capacity" ~lo:0.0 in
     finish c (Capacity_change { at; edge; capacity })
   end
   else if tag = tag_solve_report then begin
@@ -478,7 +479,7 @@ let validate = function
   | Capacity_change { at; edge; capacity } ->
     check_time "capacity_change at" at;
     check_u32 "capacity_change edge" edge;
-    check_pos "capacity_change capacity" capacity
+    check_nonneg "capacity_change capacity" capacity
   | Solve_report { seq; at; k; attempts; objective; solve_s; total_s; _ } ->
     check_seq seq;
     check_time "report at" at;

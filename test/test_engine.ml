@@ -255,6 +255,123 @@ let test_speed_probe () =
   checkb "warm events augment strictly less than cold solves" true
     (!warm_iters < !cold_iters)
 
+(* --- the 40-node instances of the churn benchmark's shape ------------- *)
+
+let maxflow_iterations () =
+  match Obs.Registry.find_counter "maxflow.iterations" with
+  | Some c -> Obs.Counter.value c
+  | None -> 0
+
+(* 4 resident sessions of 4 members on a 40-node Waxman graph, engine at
+   epsilon 0.15 (serve --ratio 0.7) *)
+let mk_engine40 ~seed =
+  let graph = waxman_graph ~seed ~n:40 in
+  let sessions = sessions_on ~seed:(seed + 1) ~graph ~count:4 ~size:4 in
+  let config = { Engine.default_config with Engine.epsilon = 0.15 } in
+  (graph, Engine.create ~config graph sessions)
+
+(* per-edge link loads of the engine's accepted solution *)
+let engine_loads graph t =
+  match Engine.solution t with
+  | Some sol -> (Check.certify graph sol).Check.loads
+  | None -> Alcotest.fail "engine has no solution"
+
+let certify_engine graph t =
+  match Engine.last_run t with
+  | Some (Engine.Run_maxflow r) ->
+    let overlays =
+      Array.map (fun s -> Overlay.create graph Overlay.Ip s) (Engine.sessions t)
+    in
+    Check.ok (Check.certify_max_flow graph overlays r)
+  | Some (Engine.Run_mcf _) | None -> false
+
+(* Iterations this join took when every inherited length was floored
+   [clamp] nats below the maximum, loaded or not: the joiner's tree lay
+   on that floor, rungs 2 and 8 left the residents no room, and only
+   rung 32 certified. *)
+let join_iterations_uniform_floor = 1576
+
+(* A join whose tree crosses edges the residents leave unloaded.  With
+   the load-aware floor those edges start [clamp/2] nats below the
+   maximum, so the ladder certifies by rung 2 and the join does well
+   under half the augmentations. *)
+let test_join_across_unloaded_edges () =
+  let graph, t = mk_engine40 ~seed:2 in
+  let members = fresh_members ~seed:4 graph ~size:5 in
+  let loads = engine_loads graph t in
+  let joiner =
+    Overlay.create graph Overlay.Ip (Session.create ~id:99 ~members ~demand:100.0)
+  in
+  let tree = Overlay.min_spanning_tree joiner ~length:(fun _ -> 1.0) in
+  let unloaded =
+    Array.fold_left
+      (fun acc (id, _) -> if loads.(id) = 0.0 then acc + 1 else acc)
+      0 tree.Otree.usage
+  in
+  checkb "the joiner's tree crosses unloaded edges" true (unloaded > 0);
+  let i0 = maxflow_iterations () in
+  let r =
+    Engine.apply t (ev 1.0 (Churn.Session_join { id = 99; members; demand = 100.0 }))
+  in
+  let iterations = maxflow_iterations () - i0 in
+  checkb "join accepted warm" true r.Engine.warm;
+  checkb
+    (Printf.sprintf "join certified within 2 rungs (took %d)" r.Engine.attempts)
+    true (r.Engine.attempts <= 2);
+  checkb
+    (Printf.sprintf "join iterations %d at most half of %d" iterations
+       join_iterations_uniform_floor)
+    true
+    (2 * iterations <= join_iterations_uniform_floor);
+  checkb "final state certifies" true (certify_engine graph t)
+
+(* A link taken to capacity 0 must be priced out, not crossed: at a
+   finite length the MST still used it, its zero bottleneck stopped the
+   run at once, and the event fell through the ladder to an uncertified
+   cold solve with almost no throughput. *)
+let test_capacity_zero_link () =
+  let graph, t = mk_engine40 ~seed:1 in
+  let loads = engine_loads graph t in
+  let edge = ref 0 in
+  Array.iteri (fun e l -> if l > loads.(!edge) then edge := e) loads;
+  let edge = !edge in
+  let c0 = Graph.capacity graph edge in
+  let obj0 = Engine.objective t in
+  let r = Engine.apply t (ev 1.0 (Churn.Capacity_change { edge; capacity = 0.0 })) in
+  checkb "capacity-0 event certified" true r.Engine.certified;
+  checkb "capacity-0 event stays warm" true r.Engine.warm;
+  checkb "no flow on the dead link" true ((engine_loads graph t).(edge) = 0.0);
+  checkb "throughput survives the link loss" true (r.Engine.objective > 0.5 *. obj0);
+  checkb "final state certifies" true (certify_engine graph t);
+  let r = Engine.apply t (ev 2.0 (Churn.Capacity_change { edge; capacity = c0 })) in
+  checkb "restore certified" true r.Engine.certified;
+  (* the cold path prices the dead link out too *)
+  let cold_graph = waxman_graph ~seed:1 ~n:40 in
+  Graph.set_capacity cold_graph edge 0.0;
+  let overlays =
+    Array.map (fun s -> Overlay.create cold_graph Overlay.Ip s) (Engine.sessions t)
+  in
+  let cold = Max_flow.solve cold_graph overlays ~epsilon:0.15 in
+  checkb "cold solve with a dead link certifies" true
+    (Check.ok (Check.certify_max_flow cold_graph overlays cold));
+  checkb "cold solve keeps its throughput" true
+    (Solution.overall_throughput cold.Max_flow.solution > 0.5 *. obj0);
+  (* warm starts accept an infinite length there and only there *)
+  let warm prev_lens =
+    Max_flow.solve
+      ~warm_start:{ Max_flow.prev_lens; prev_ln_base = 0.0; room = 8.0 }
+      cold_graph overlays ~epsilon:0.15
+  in
+  let lens = Array.copy cold.Max_flow.dual_lengths in
+  checkb "infinite length on the dead link accepted" true
+    (Check.ok (Check.certify cold_graph (warm lens).Max_flow.solution));
+  let other = if edge = 0 then 1 else 0 in
+  lens.(other) <- infinity;
+  checkb "infinite length on a live link rejected" true
+    (match warm lens with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
 let suite =
   [
     Alcotest.test_case "initial cold solve" `Quick test_initial_solve;
@@ -269,4 +386,8 @@ let suite =
     Alcotest.test_case "workspace reuse: warm events allocate less" `Quick
       test_workspace_reuse_alloc;
     Alcotest.test_case "speed probe (informational)" `Quick test_speed_probe;
+    Alcotest.test_case "join across unloaded edges stays warm" `Quick
+      test_join_across_unloaded_edges;
+    Alcotest.test_case "capacity-0 link priced out" `Quick
+      test_capacity_zero_link;
   ]

@@ -26,6 +26,11 @@ let fresh_members ~seed graph ~size =
 
 let ev at event = { Churn.at; event }
 
+let contains text sub =
+  let n = String.length text and m = String.length sub in
+  let rec scan i = i + m <= n && (String.sub text i m = sub || scan (i + 1)) in
+  scan 0
+
 (* one event of every churn kind, so every event-type code crosses the
    wire *)
 let event_sequence graph =
@@ -97,6 +102,56 @@ let test_event_code_table () =
         "one event of each kind attributed to its code"
         [| 1; 1; 1; 1; 1 |]
         rep.Analysis.g_total.Analysis.w_kinds)
+
+(* [Certify_fail.a] carries the first violation's code, an index into
+   [Check.violation_names]; lib/analysis keeps its own copy of that
+   table to name the codes, pinned here *)
+let test_violation_code_table () =
+  Alcotest.(check (array string))
+    "violation code table" Check.violation_names
+    Analysis.certify_violation_names;
+  let gap =
+    Check.Duality_gap { primal = 1.0; dual_bound = 2.0; claimed = 0.9; achieved = 0.5 }
+  in
+  Alcotest.(check string)
+    "the code indexes the name" "duality_gap"
+    Check.violation_names.(Check.violation_code gap);
+  (* a one-rung ladder with almost no room cannot certify: the warm
+     run stops short of the duality bound.  The ring keeps the engine
+     vocabulary only; the solver's events would overflow it. *)
+  let ring = Obs.Trace.create ~capacity:1024 () in
+  let rsink = Obs.Trace.sink ring in
+  let obs =
+    Obs.Sink.make (fun kind ~session ~a ~b ->
+        match kind with
+        | Obs.Event_start | Obs.Event_end | Obs.Rung_attempt
+        | Obs.Cold_fallback | Obs.Certify_fail ->
+          Obs.Sink.emit rsink kind ~session ~a ~b
+        | _ -> ())
+  in
+  let graph = waxman_graph ~seed:70 ~n:30 in
+  let sessions = sessions_on ~seed:71 ~graph ~count:3 ~size:5 in
+  let config =
+    { Engine.default_config with Engine.obs; rooms = [| 1e-3 |] }
+  in
+  let t = Engine.create ~config graph sessions in
+  let id = sessions.(0).Session.id in
+  let r = Engine.apply t (ev 1.0 (Churn.Demand_change { id; demand = 50.0 })) in
+  checkb "the ladder fell back to cold" false r.Engine.warm;
+  let events = Obs.Trace.events ring in
+  (match
+     List.filter (fun (e : Obs.Event.t) -> e.Obs.Event.kind = Obs.Certify_fail) events
+   with
+  | [ e ] ->
+    checki "failed on rung 0" 0 e.Obs.Event.session;
+    checkf "first violation is duality_gap"
+      (float_of_int (Check.violation_code gap))
+      e.Obs.Event.a;
+    checkb "at least one violation" true (e.Obs.Event.b >= 1.0)
+  | l -> Alcotest.failf "expected one certify_fail, got %d" (List.length l));
+  let text = Analysis.render_engine (Analysis.engine_report (Array.of_list events)) in
+  checkb "trace engine names the failing check" true
+    (contains text "certify failures by first violation: duality_gap=1")
 
 let test_report_matches_engine () =
   with_stream_capture (fun t _reports r ->
@@ -179,12 +234,7 @@ let test_prometheus_valid () =
       | Ok () -> ()
       | Error e -> Alcotest.failf "generated exposition rejected: %s" e);
       checkb "engine histogram exposed with cumulative buckets" true
-        (let sub = "engine_resolve_s_bucket{le=\"" in
-         let n = String.length text and m = String.length sub in
-         let rec scan i =
-           i + m <= n && (String.sub text i m = sub || scan (i + 1))
-         in
-         scan 0);
+        (contains text "engine_resolve_s_bucket{le=\"");
       (* a dump without the +Inf bucket must be rejected *)
       let bad =
         "# TYPE broken histogram\n\
@@ -237,4 +287,6 @@ let suite =
       test_prometheus_valid;
     Alcotest.test_case "snapshot_quantile agrees with live quantile" `Quick
       test_snapshot_quantile_agrees;
+    Alcotest.test_case "certify-fail violation codes pinned" `Quick
+      test_violation_code_table;
   ]

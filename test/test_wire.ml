@@ -207,6 +207,16 @@ let test_nonfinite_float_rejected () =
   | Wire.Corrupt _ -> ()
   | _ -> Alcotest.fail "negative demand must be Corrupt"
 
+(* capacity 0 is a link taken down: legal on the wire, both ways *)
+let test_zero_capacity_roundtrips () =
+  let f = Wire.Capacity_change { at = 2.0; edge = 38; capacity = 0.0 } in
+  let buf = Wire.encode f in
+  match Wire.decode buf ~pos:0 ~len:(Bytes.length buf) with
+  | Wire.Frame (g, used) ->
+    Alcotest.(check int) "whole frame used" (Bytes.length buf) used;
+    Alcotest.(check bool) "frame round-trips" true (Wire.frame_equal f g)
+  | _ -> Alcotest.fail "capacity-0 frame did not decode"
+
 let test_back_to_back_frames () =
   let a = Wire.encode (Wire.Session_leave { at = 1.0; id = 1 }) in
   let b = Wire.encode (Wire.Metrics_pull { format = Wire.Json }) in
@@ -236,6 +246,8 @@ let test_encoder_rejects_invalid () =
     (Wire.Demand_change { at = 0.0; id = 1; demand = -1.0 });
   expect_invalid "NaN capacity"
     (Wire.Capacity_change { at = 0.0; edge = 1; capacity = Float.nan });
+  expect_invalid "negative capacity"
+    (Wire.Capacity_change { at = 0.0; edge = 1; capacity = -1.0 });
   expect_invalid "negative id" (Wire.Session_leave { at = 0.0; id = -1 });
   expect_invalid "oversized u32 id"
     (Wire.Session_leave { at = 0.0; id = 0x1_0000_0000 });
@@ -276,4 +288,6 @@ let suite =
       test_encoder_rejects_invalid;
     Alcotest.test_case "error code table round-trips" `Quick
       test_error_code_table;
+    Alcotest.test_case "capacity 0 round-trips" `Quick
+      test_zero_capacity_roundtrips;
   ]
